@@ -2,9 +2,8 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! DreamCoder paper (see DESIGN.md's experiment index). Each figure has a
-//! binary (`cargo run --release -p dc-bench --bin fig7_accuracy`), and
-//! Criterion microbenches cover the hot algorithmic paths
-//! (`cargo bench --workspace`).
+//! binary (`cargo run --release -p dc-bench --bin fig7_accuracy`).
+//! Performance is measured separately by `perfbench/`.
 //!
 //! Budgets are laptop-scale: this reproduction runs on a single CPU where
 //! the paper used 20–128, so absolute numbers are smaller while the

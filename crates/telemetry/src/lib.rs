@@ -8,7 +8,8 @@
 //!   workers increment without contending;
 //! * [`Gauge`] — last-write-wins values (library size, current loss);
 //! * [`Histogram`] — log-bucketed timing distributions (per-candidate
-//!   refactor time, per-phase wall-clock).
+//!   refactor time, per-phase wall-clock), fed by closing [`span`]s —
+//!   the one timing API.
 //!
 //! Plus a leveled JSONL [`event`] sink replacing ad-hoc `eprintln!`.
 //!
@@ -40,7 +41,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use serde::Serialize;
@@ -207,43 +207,6 @@ pub fn set_gauge(name: &'static str, value: f64) {
     }
 }
 
-/// Record a duration into the named histogram (no-op while disabled).
-#[inline]
-pub fn record_duration(name: &'static str, duration: Duration) {
-    if is_enabled() {
-        histogram(name).record(duration);
-    }
-}
-
-/// Time a scope: records into the named histogram when the guard drops.
-/// While telemetry is disabled the guard does nothing on drop.
-#[must_use = "the timer records when dropped; binding to _ drops immediately"]
-pub struct TimerGuard {
-    name: &'static str,
-    start: Instant,
-}
-
-impl TimerGuard {
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        record_duration(self.name, self.start.elapsed());
-    }
-}
-
-/// Start a timer guard for the named histogram.
-pub fn time(name: &'static str) -> TimerGuard {
-    TimerGuard {
-        name,
-        start: Instant::now(),
-    }
-}
-
 /// Install a JSONL event sink writing to `writer`, keeping events at
 /// `min_level` and above.
 pub fn set_event_sink(writer: Box<dyn std::io::Write + Send>, min_level: Level) {
@@ -384,6 +347,8 @@ pub fn export_to_file(path: &std::path::Path) -> std::io::Result<()> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     /// The enable flag is process-global, so tests that toggle it must
@@ -431,25 +396,13 @@ mod tests {
         enable();
         add("test.snapshot.count", 7);
         set_gauge("test.snapshot.gauge", 1.5);
-        record_duration("test.snapshot.hist", Duration::from_millis(2));
+        histogram("test.snapshot.hist").record(Duration::from_millis(2));
         let snap = snapshot();
         assert_eq!(snap.counters["test.snapshot.count"], 7);
         assert_eq!(snap.gauges["test.snapshot.gauge"], 1.5);
         assert_eq!(snap.histograms["test.snapshot.hist"].count, 1);
         let json = export_json();
         assert!(json.contains("test.snapshot.count"));
-        disable();
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        let _serial = flag_lock();
-        enable();
-        {
-            let _guard = time("test.timer");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(histogram("test.timer").count() >= 1);
         disable();
     }
 }

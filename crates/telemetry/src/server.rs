@@ -287,7 +287,7 @@ mod tests {
         crate::enable();
         crate::add("test.server.counter", 3);
         crate::set_gauge("test.server.gauge", 2.5);
-        crate::record_duration("test.server.hist", Duration::from_millis(5));
+        crate::histogram("test.server.hist").record(Duration::from_millis(5));
         set_status("phase", "wake");
         set_status("cycle", 2u64);
 

@@ -14,11 +14,12 @@
 //! * telemetry disabled: one relaxed load and a predictable branch;
 //! * telemetry enabled, node already interned: a read-locked hash lookup on
 //!   entry plus a handful of relaxed atomic adds on drop — cheap enough to
-//!   leave on at per-task granularity (the bench harness asserts the
-//!   enumeration workload stays within 5% of the uninstrumented wall);
+//!   leave on at per-task granularity (CI asserts the `perfbench`
+//!   `search` workload stays within 5% of the uninstrumented wall);
 //! * first entry of a new `(parent, name)` pair: one write-locked insert.
 //!
-//! Spans additionally feed the [`crate::histogram`] of the same name, so
+//! Spans are the crate's only timing API: each one also feeds the
+//! [`crate::histogram`] of the same name, so
 //! quantiles (p50/p99 of per-task search time, say) come for free and the
 //! flat histogram section of `telemetry.json` stays populated.
 //!

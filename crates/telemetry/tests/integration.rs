@@ -131,7 +131,7 @@ fn snapshot_json_parses_back() {
     dc_telemetry::enable();
     dc_telemetry::add("test.export.counter", 5);
     dc_telemetry::set_gauge("test.export.gauge", 2.5);
-    dc_telemetry::record_duration("test.export.hist", std::time::Duration::from_millis(3));
+    dc_telemetry::histogram("test.export.hist").record(std::time::Duration::from_millis(3));
     let json = dc_telemetry::export_json();
     dc_telemetry::disable();
     let value: serde_json::Value = serde_json::from_str(&json).expect("export parses");

@@ -85,6 +85,12 @@ fn span_tree_shape_is_identical_across_thread_counts() {
             .any(|(path, _)| path == "cycle.total/cycle.dream/dream.fantasies/dream.fantasy"),
         "expected dream.fantasy spans nested under cycle.dream, got {single:?}"
     );
+    assert!(
+        single
+            .iter()
+            .any(|(path, _)| path == "cycle.total/cycle.compression/compression.candidate_time"),
+        "expected compression.candidate_time spans nested under cycle.compression, got {single:?}"
+    );
     assert_eq!(
         single, many,
         "span tree shape diverged between 1 and 4 worker threads"
